@@ -200,21 +200,24 @@ func (l latencies) pct(p float64) float64 {
 	return float64(s[i]) / 1e6
 }
 
-// routeBlock is the block length of blockMean: one round of gist-routes.
-const routeBlock = 12
-
-// blockMean is the median, over consecutive blocks of routeBlock samples,
-// of each block's mean latency in milliseconds; an incomplete last block
-// is left out. A burst of load from elsewhere on the machine then moves
-// one block, not the figure.
-func (l latencies) blockMean() float64 {
-	var means []float64
-	for i := 0; i+routeBlock <= len(l); i += routeBlock {
-		var sum time.Duration
-		for _, d := range l[i : i+routeBlock] {
-			sum += d
-		}
-		means = append(means, float64(sum)/routeBlock/1e6)
+// queryMean is a route's mean latency in milliseconds over a round of
+// nq queries, sample j being of the round's query j%nq: the mean over the
+// queries of each query's median latency. The median keeps a burst of
+// load from elsewhere on the machine to the samples it hit; the mean keeps
+// the weight of the costly queries, where a median over all samples would
+// sit between the cheap and the costly ones.
+func (l latencies) queryMean(nq int) float64 {
+	per := make([][]float64, nq)
+	for j, d := range l {
+		per[j%nq] = append(per[j%nq], float64(d)/1e6)
 	}
-	return median(means)
+	var sum float64
+	var n int
+	for _, xs := range per {
+		if len(xs) > 0 {
+			sum += median(xs)
+			n++
+		}
+	}
+	return sum / float64(n)
 }

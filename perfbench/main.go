@@ -41,19 +41,15 @@ type spec struct {
 	// modes is the searching client's request rotation: "" sends a plain
 	// request (the default beam path), anything else names a "mode".
 	modes []string
-	// windows is how many equal slices the timed phase is cut into:
-	// search_qps, search_p50_ms and search_tail_ms are medians over the
-	// slices, so a burst of load from elsewhere on the machine moves one
-	// slice, not the run.
-	windows int
 	// tail is the latency percentile reported as search_tail_ms; the
 	// README gives the sample counts behind it.
 	tail float64
 	// modeled is the number of queries Database.Run replays for
 	// modeled_qps.
 	modeled int
-	// probes is the number of tiered and of exact requests sent after the
-	// timed phase, on workloads whose timed phase does not send them.
+	// probes is the number of queries sent, probeRounds times each, as
+	// tiered and as exact requests after the timed phase, on workloads
+	// whose timed phase does not send them.
 	probes int
 	// writeRate, when set, makes the database mutable and journaled: one
 	// client writes at this many operations per second while the other
@@ -63,16 +59,18 @@ type spec struct {
 
 var specs = []spec{
 	{name: "sift-beam", profile: "SIFT", n: 10000, nq: 1000, clients: 1, modes: []string{""},
-		windows: 15, tail: 0.90, modeled: 256, probes: 100},
+		tail: 0.90, modeled: 256, probes: 20},
 	{name: "gist-routes", profile: "GIST", n: 2000, nq: 200, round: 12, clients: 1, modes: []string{"ndp", "tiered", "exact"},
-		windows: 1, tail: 0.75, modeled: 128},
+		tail: 0.75, modeled: 128},
 	{name: "glove-ingest", profile: "GloVe", n: 10000, nq: 500, clients: 2, modes: []string{""},
-		windows: 15, tail: 0.90, modeled: 256, probes: 60, writeRate: 150},
+		tail: 0.90, modeled: 256, probes: 12, writeRate: 70},
 }
 
 const (
 	k  = 10
 	ef = 64
+	// probeRounds is how many times each probe query is sent per route.
+	probeRounds = 10
 	// recallFloor fails a run whose recall_at_10 reads below it.
 	recallFloor = 0.90
 	// setups is how many times a run builds its database; setup_s is the
@@ -139,6 +137,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "perfbench: need --workload (%s), --seconds > 0 and --trace 0|1\n", names())
 		os.Exit(2)
 	}
+	want, err := required(*trace == 1)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "perfbench: %v\n", err)
+		os.Exit(1)
+	}
 	dir, err := os.MkdirTemp(filepath.Join(".bench_build"), "run-")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "perfbench: %v\n", err)
@@ -156,11 +159,50 @@ func main() {
 		fmt.Fprintf(os.Stderr, "perfbench: %s: %v\n", r.name, err)
 		os.Exit(1)
 	}
+	// Every workload is chosen so that no operation fails: a failed
+	// request, or a metric left unmeasured because its requests failed,
+	// fails the run.
+	if r.out.Failed > 0 {
+		r.fail("%d of %d operations failed", r.out.Failed, r.out.Attempted)
+	}
+	for _, name := range want {
+		if _, ok := r.out.Metrics[name]; !ok {
+			r.fail("%s was not measured", name)
+		}
+	}
 	r.report()
 	if r.problem != "" {
 		fmt.Fprintf(os.Stderr, "perfbench: %s: check failed: %s\n", r.name, r.problem)
 		os.Exit(1)
 	}
+}
+
+// required lists the metrics a run must report: BENCHMARK.json's
+// end-to-end metrics, or its per-layer metrics on a traced run.
+func required(traced bool) ([]string, error) {
+	data, err := os.ReadFile("BENCHMARK.json")
+	if err != nil {
+		return nil, err
+	}
+	type named struct {
+		Name string `json:"name"`
+	}
+	var b struct {
+		EndToEnd []named `json:"end_to_end"`
+		PerLayer []named `json:"per_layer"`
+	}
+	if err := json.Unmarshal(data, &b); err != nil {
+		return nil, fmt.Errorf("BENCHMARK.json: %w", err)
+	}
+	list := b.EndToEnd
+	if traced {
+		list = b.PerLayer
+	}
+	var out []string
+	for _, m := range list {
+		out = append(out, m.Name)
+	}
+	return out, nil
 }
 
 func names() string {

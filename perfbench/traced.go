@@ -25,10 +25,9 @@ const (
 	deepEvery = 4
 	// simTraces caps the walks core.Replay times.
 	simTraces = 256
-	// sideVectors and sideWrites size the write-layer probe that the
-	// read-only workloads run on a journaled database of their own.
-	sideVectors = 1000
-	sideWrites  = 128
+	// sideWrites is the number of writes in the write-layer probe of the
+	// read-only workloads.
+	sideWrites = 128
 	// walAppends is the number of bare journal appends timed.
 	walAppends = 200
 )
@@ -340,14 +339,15 @@ func (w *writes) split(tr *tracer) (plain, repair []float64) {
 	return plain, repair
 }
 
-// sideWrites probes the write layers on a read-only workload: a journaled
-// mutable database over the first sideVectors vectors takes alternating
-// adds and deletes through the library, enough deletes for one repair
+// sideWrites probes the write layers on a read-only workload, since a
+// traced run reports every per-layer metric: a journaled mutable copy of
+// the workload's database takes alternating adds (of the run's query
+// vectors) and deletes through the library, enough deletes for one repair
 // batch at the default batch size.
 func (r *run) sideWrites(tr *tracer, in *inputs, w *writes, req *int64) error {
 	opts := r.options(in.prof)
 	opts.Mutable = true
-	db, err := ansmet.New(in.base[:sideVectors], opts)
+	db, err := ansmet.New(in.base, opts)
 	if err != nil {
 		return err
 	}
@@ -367,7 +367,7 @@ func (r *run) sideWrites(tr *tracer, in *inputs, w *writes, req *int64) error {
 		before := db.Stats().RepairBatches
 		if i%2 == 0 {
 			o := tr.begin(ctx, "ansmet.Add")
-			_, err = db.Add(in.base[sideVectors+i/2])
+			_, err = db.Add(in.sample[(i/2)%len(in.sample)])
 			o.end()
 		} else {
 			o := tr.begin(ctx, "ansmet.Delete")

@@ -91,13 +91,15 @@ func (r *run) inputs() *inputs {
 	for i := 0; i < writes; i++ {
 		var o op
 		var req any
-		switch u := rng.Float64(); {
-		case u < 0.5:
+		// Two adds to one delete and one update, as in the chaos mutate
+		// soak (cmd/ansmet-chaos).
+		switch u := rng.Intn(4); {
+		case u < 2:
 			o = op{kind: opAdd, newID: next}
 			next++
 			live = append(live, o.newID)
 			req = serve.UpsertRequest{Vector: ds.Vectors[o.newID]}
-		case u < 0.8:
+		case u == 2:
 			j := rng.Intn(len(live))
 			o = op{kind: opDelete, id: live[j]}
 			live[j] = live[len(live)-1]
@@ -189,9 +191,7 @@ type ingest struct {
 
 // phase is one client's record of the timed phase.
 type phase struct {
-	start               time.Time
 	beam, tiered, exact latencies
-	beamAt, doneAt      []time.Duration // when each beam search, and each search, completed
 	attempted, failed   int64
 	hits, answers       int64
 	err                 error // first failed request
@@ -199,8 +199,6 @@ type phase struct {
 
 func (p *phase) merge(o *phase) {
 	p.beam = append(p.beam, o.beam...)
-	p.beamAt = append(p.beamAt, o.beamAt...)
-	p.doneAt = append(p.doneAt, o.doneAt...)
 	p.tiered = append(p.tiered, o.tiered...)
 	p.exact = append(p.exact, o.exact...)
 	p.attempted += o.attempted
@@ -231,8 +229,6 @@ func (r *run) searched(p *phase, in *inputs, q []float32, truth []nb, mode strin
 		r.fail("%s answer: %v", routeName(mode), err)
 		return
 	}
-	at := time.Since(p.start)
-	p.doneAt = append(p.doneAt, at)
 	switch mode {
 	case "tiered", "exact":
 		if truth != nil {
@@ -247,7 +243,6 @@ func (r *run) searched(p *phase, in *inputs, q []float32, truth []nb, mode strin
 		}
 	default:
 		p.beam = append(p.beam, lat)
-		p.beamAt = append(p.beamAt, at)
 		if truth != nil {
 			p.hits += int64(in.ref.hits(q, res, truth))
 			p.answers++
@@ -323,7 +318,7 @@ func (r *run) measure() error {
 			defer wg.Done()
 			cl := newClient(srv.url)
 			defer cl.close()
-			p := phase{start: start}
+			var p phase
 			if ing != nil && c == 1 {
 				r.write(cl, in, ing, start, dur, &p)
 			} else {
@@ -336,9 +331,10 @@ func (r *run) measure() error {
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
-	r.set("search_qps", "searches/s", r.windowRate(total.doneAt, dur, elapsed))
-	r.set("search_p50_ms", "ms", r.windowPct(&total, dur, 0.5))
-	r.set("search_tail_ms", "ms", r.windowPct(&total, dur, r.tail))
+	searches := len(total.beam) + len(total.tiered) + len(total.exact)
+	r.set("search_qps", "searches/s", float64(searches)/elapsed.Seconds())
+	r.set("search_p50_ms", "ms", total.beam.pct(0.5))
+	r.set("search_tail_ms", "ms", total.beam.pct(r.tail))
 	fmt.Fprintf(os.Stderr, "%s: %d beam, %d tiered, %d exact searches in %.1f s; tail is p%g of %d beam samples\n",
 		r.name, len(total.beam), len(total.tiered), len(total.exact), elapsed.Seconds(), r.tail*100, len(total.beam))
 	if ing != nil {
@@ -374,11 +370,16 @@ func (r *run) measure() error {
 		return err
 	}
 	total.merge(&after)
+	// Sample j of a route is of the round's query j % perRound.
+	perRound := r.round
+	if perRound == 0 {
+		perRound = r.probes
+	}
 	if len(total.tiered) > 0 {
-		r.set("tiered_mean_ms", "ms", total.tiered.blockMean())
+		r.set("tiered_mean_ms", "ms", total.tiered.queryMean(perRound))
 	}
 	if len(total.exact) > 0 {
-		r.set("exact_mean_ms", "ms", total.exact.blockMean())
+		r.set("exact_mean_ms", "ms", total.exact.queryMean(perRound))
 	}
 	r.out.Attempted, r.out.Failed = total.attempted, total.failed
 	if total.err != nil {
@@ -390,60 +391,21 @@ func (r *run) measure() error {
 	return nil
 }
 
-// window is the slice of the timed phase (dur long, r.windows slices) in
-// which a search that completed at offset at falls; the last slice also
-// takes the searches that complete after dur.
-func (r *run) window(at, dur time.Duration) int {
-	return min(int(at*time.Duration(r.windows)/dur), r.windows-1)
-}
-
-// windowRate is the median over the windows of searches completed per
-// second.
-func (r *run) windowRate(doneAt []time.Duration, dur, elapsed time.Duration) float64 {
-	counts := make([]int, r.windows)
-	for _, at := range doneAt {
-		counts[r.window(at, dur)]++
-	}
-	slice := dur / time.Duration(r.windows)
-	var rates []float64
-	for w, n := range counts {
-		d := slice
-		if w == r.windows-1 {
-			d = elapsed - slice*time.Duration(r.windows-1)
-		}
-		rates = append(rates, float64(n)/d.Seconds())
-	}
-	return median(rates)
-}
-
-// windowPct is the median over the windows of each window's percentile q
-// of beam latency.
-func (r *run) windowPct(p *phase, dur time.Duration, q float64) float64 {
-	per := make([]latencies, r.windows)
-	for i, at := range p.beamAt {
-		w := r.window(at, dur)
-		per[w] = append(per[w], p.beam[i])
-	}
-	var vals []float64
-	for _, l := range per {
-		if len(l) > 0 {
-			vals = append(vals, l.pct(q))
-		}
-	}
-	return median(vals)
-}
-
 // search is a searching client's closed loop: it rotates through the
 // workload's modes and cycles the queries until the phase ends.
 func (r *run) search(cl *client, c int, in *inputs, truth [][]nb, bodies map[string][][]byte, ing *ingest, start time.Time, dur time.Duration, p *phase) {
-	perRound := len(r.modes) * len(in.queries) / r.clients
+	searchers := r.clients
+	if ing != nil {
+		searchers-- // the other client writes
+	}
+	perRound := len(r.modes) * len(in.queries) / searchers
 	for i := 0; ; i++ {
 		if (r.round == 0 || i%perRound == 0) && time.Since(start) >= dur {
 			return
 		}
 		// Each query goes through every mode in turn, so every route sees
 		// the same queries.
-		qi := (c + r.clients*(i/len(r.modes))) % len(in.queries)
+		qi := (c + searchers*(i/len(r.modes))) % len(in.queries)
 		mode := r.modes[i%len(r.modes)]
 		var acked int64
 		if ing != nil {
@@ -532,11 +494,12 @@ func (r *run) checkAcked(ing *ingest, res []result, acked int64) {
 	}
 }
 
-// probeRoutes sends the tiered and exact probes one at a time, each
-// checked exact against the reference; live tells which ids may appear.
+// probeRoutes sends the tiered and exact probes one at a time, in
+// probeRounds rounds of the probe queries, each answer checked exact
+// against the reference; live tells which ids may appear.
 func (r *run) probeRoutes(cl *client, in *inputs, truth [][]nb, bodies map[string][][]byte, maxID uint32, live func(uint32) bool, p *phase) {
-	for i := 0; i < r.probes; i++ {
-		qi := i % len(in.queries)
+	for i := 0; i < probeRounds*r.probes; i++ {
+		qi := i % r.probes
 		for _, mode := range []string{"tiered", "exact"} {
 			res, lat, err := cl.search(bodies[mode][qi], mode, nil)
 			r.searched(p, in, in.queries[qi], truth[qi], mode, res, lat, err, maxID)
