@@ -180,8 +180,15 @@ func (c *client) search(body []byte, mode string, hdr http.Header) ([]result, ti
 // opposed to a request that failed.
 var errCheck = errors.New("check failed")
 
+// sample is one request's latency and the index of its query (or, for a
+// write, of the write in the sequence).
+type sample struct {
+	q   int
+	lat time.Duration
+}
+
 // latencies is a sample of request times.
-type latencies []time.Duration
+type latencies []sample
 
 // pct is the nearest-rank percentile p in (0, 1], in milliseconds.
 func (l latencies) pct(p float64) float64 {
@@ -189,7 +196,7 @@ func (l latencies) pct(p float64) float64 {
 		return 0
 	}
 	s := append(latencies(nil), l...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	sort.Slice(s, func(i, j int) bool { return s[i].lat < s[j].lat })
 	i := int(float64(len(s))*p+0.999999) - 1
 	if i < 0 {
 		i = 0
@@ -197,27 +204,23 @@ func (l latencies) pct(p float64) float64 {
 	if i >= len(s) {
 		i = len(s) - 1
 	}
-	return float64(s[i]) / 1e6
+	return float64(s[i].lat) / 1e6
 }
 
-// queryMean is a route's mean latency in milliseconds over a round of
-// nq queries, sample j being of the round's query j%nq: the mean over the
-// queries of each query's median latency. The median keeps a burst of
-// load from elsewhere on the machine to the samples it hit; the mean keeps
-// the weight of the costly queries, where a median over all samples would
-// sit between the cheap and the costly ones.
-func (l latencies) queryMean(nq int) float64 {
-	per := make([][]float64, nq)
-	for j, d := range l {
-		per[j%nq] = append(per[j%nq], float64(d)/1e6)
+// queryMean is a route's mean latency in milliseconds: the mean over the
+// queries of each query's median latency. A query's samples are spread
+// over the phase, so its median keeps a burst of load from elsewhere on
+// the machine to the samples it hit; the mean keeps the weight of the
+// costly queries, where a median over all samples would sit between the
+// cheap and the costly ones.
+func (l latencies) queryMean() float64 {
+	per := map[int][]float64{}
+	for _, s := range l {
+		per[s.q] = append(per[s.q], float64(s.lat)/1e6)
 	}
 	var sum float64
-	var n int
 	for _, xs := range per {
-		if len(xs) > 0 {
-			sum += median(xs)
-			n++
-		}
+		sum += median(xs)
 	}
-	return sum / float64(n)
+	return sum / float64(len(per))
 }

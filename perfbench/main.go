@@ -4,7 +4,7 @@
 // answer against its own float64 brute force or against a property of the
 // method, and prints the workload's metrics as one JSON line.
 //
-//	perfbench --workload sift-beam --seed 1 --seconds 15 --trace 0
+//	perfbench --workload sift-beam --seed 1 --seconds 30 --trace 0
 //
 // With --trace 1 it makes the traced run instead: one span per layer
 // boundary, per-layer metrics, and the tracing overhead. README.md lists
@@ -28,15 +28,17 @@ type spec struct {
 	name    string
 	profile string // internal/dataset profile
 	n       int    // vectors built into the database
-	nq      int    // queries drawn from the pool by the run's seed
-	// round, when set, makes the clients cycle the pool's first round
-	// queries instead, the same on every seed, in a seeded order, and end
-	// the timed phase only after whole rounds. README.md says why
-	// gist-routes needs it.
+	nq      int    // queries, in an order drawn by the run's seed
+	// round, when set, makes the clients cycle the first round queries
+	// instead, in a seeded order, and end the timed phase only after whole
+	// rounds. README.md says why gist-routes needs it.
 	round int
 	// clients is the closed loop's size. The ingest workload needs two, a
-	// searcher and a writer; with two searchers saturating the two CPUs of
-	// the reference machine, latency followed the machine's other load.
+	// searcher and a writer. On sift-beam two searchers keep both CPUs of
+	// the two-CPU reference machine busy: with one, every hand-over woke
+	// an idle virtual CPU, and the figures followed the host's other load.
+	// On gist-routes a second client made each route's latency depend on
+	// which route ran beside it.
 	clients int
 	// modes is the searching client's request rotation: "" sends a plain
 	// request (the default beam path), anything else names a "mode".
@@ -58,19 +60,19 @@ type spec struct {
 }
 
 var specs = []spec{
-	{name: "sift-beam", profile: "SIFT", n: 10000, nq: 1000, clients: 1, modes: []string{""},
-		tail: 0.90, modeled: 256, probes: 20},
+	{name: "sift-beam", profile: "SIFT", n: 10000, nq: 1000, clients: 2, modes: []string{""},
+		tail: 0.95, modeled: 256, probes: 20},
 	{name: "gist-routes", profile: "GIST", n: 2000, nq: 200, round: 12, clients: 1, modes: []string{"ndp", "tiered", "exact"},
 		tail: 0.75, modeled: 128},
 	{name: "glove-ingest", profile: "GloVe", n: 10000, nq: 500, clients: 2, modes: []string{""},
-		tail: 0.90, modeled: 256, probes: 12, writeRate: 70},
+		tail: 0.95, modeled: 256, probes: 12, writeRate: 70},
 }
 
 const (
 	k  = 10
 	ef = 64
 	// probeRounds is how many times each probe query is sent per route.
-	probeRounds = 10
+	probeRounds = 16
 	// recallFloor fails a run whose recall_at_10 reads below it.
 	recallFloor = 0.90
 	// setups is how many times a run builds its database; setup_s is the
@@ -124,7 +126,7 @@ func (r *run) fail(format string, args ...any) {
 func main() {
 	workload := flag.String("workload", "", "workload name: "+names())
 	seed := flag.Uint64("seed", 1, "input seed")
-	seconds := flag.Float64("seconds", 15, "length of the timed phase")
+	seconds := flag.Float64("seconds", 30, "length of the timed phase")
 	trace := flag.Int("trace", 0, "1: traced run with per-layer metrics")
 	flag.Parse()
 	var sp *spec

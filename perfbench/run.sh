@@ -2,7 +2,7 @@
 # Builds the benchmark from the checkout's sources and runs it. Run from the
 # root of the repository:
 #
-#   bash perfbench/run.sh --workload sift-beam --seed 1 --seconds 15 --trace 0
+#   bash perfbench/run.sh --workload sift-beam --seed 1 --seconds 30 --trace 0
 #
 # Build outputs and the Go build cache stay under .bench_build/ in the
 # checkout; a missing or broken source tree fails the build, and with it

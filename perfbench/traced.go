@@ -320,7 +320,7 @@ func (r *run) tracedCheck(ph *phase, in *inputs, truth [][]nb, ing *ingest, qi i
 	} else {
 		t = truth[qi]
 	}
-	r.searched(ph, in, in.queries[qi], t, mode, res, lat, err, maxID)
+	r.searched(ph, in, qi, t, mode, res, lat, err, maxID)
 }
 
 // split separates the delete and update spans into those that ran a

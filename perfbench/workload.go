@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -42,22 +43,19 @@ type inputs struct {
 	prof    dataset.Profile
 	base    [][]float32 // the vectors the database is built from
 	queries [][]float32 // the queries the clients send
-	sample  [][]float32 // the seed's sample of the query pool
+	sample  [][]float32 // the workload's queries: the probes, then the rest in the seed's order
 	ops     []op
 	ref     *reference // over base plus every vector the ops add
 }
 
-// corpusSeed fixes each workload's vector population and query pool. The
-// run's seed draws the queries from the pool and the ingest workload's
-// write sequence, so runs on different seeds differ in their requests but
-// not in the database they measure.
+// corpusSeed fixes each workload's vectors and queries. The run's seed
+// orders the queries and draws the ingest workload's write sequence, so
+// runs on different seeds differ in their requests but not in the
+// database or the query set they measure.
 const corpusSeed = 1
 
-// poolFactor sizes the query pool a run draws its queries from.
-const poolFactor = 10
-
-// inputs generates the run's data: the profile's vectors, a seeded sample
-// of its query pool and, on the ingest workload, a seeded write sequence
+// inputs generates the run's data: the profile's vectors, its queries in
+// a seeded order and, on the ingest workload, a seeded write sequence
 // whose deletes and updates pick uniformly among the ids live at that
 // point.
 func (r *run) inputs() *inputs {
@@ -66,13 +64,13 @@ func (r *run) inputs() *inputs {
 	writes := int(math.Ceil(r.writeRate * r.seconds))
 	// Vector i of a profile does not depend on how many are drawn, so
 	// every run builds the same population whatever its write sequence.
-	ds := dataset.Generate(in.prof, r.n+writes, poolFactor*r.nq, corpusSeed)
+	ds := dataset.Generate(in.prof, r.n+writes, r.nq, corpusSeed)
 	in.base = ds.Vectors[:r.n]
-	// The pool's first queries are the route probes, in every sample: a
-	// seeded set of probes moved their mean latency by more than its
-	// bound.
+	// The first queries, which the route probes use, stay first. A
+	// seeded sample of a larger pool, used before, moved the tail
+	// latency with the share of costly queries it happened to draw.
 	in.sample = append(in.sample, ds.Queries[:r.probes]...)
-	for _, i := range rng.Perm(len(ds.Queries) - r.probes)[:r.nq-r.probes] {
+	for _, i := range rng.Perm(r.nq - r.probes) {
 		in.sample = append(in.sample, ds.Queries[r.probes+i])
 	}
 	in.queries = in.sample
@@ -212,7 +210,8 @@ func (p *phase) merge(o *phase) {
 
 // searched books one search reply: a failed request is counted, an answer
 // is checked against the reference, and the latency joins its route.
-func (r *run) searched(p *phase, in *inputs, q []float32, truth []nb, mode string, res []result, lat time.Duration, err error, maxID uint32) {
+func (r *run) searched(p *phase, in *inputs, qi int, truth []nb, mode string, res []result, lat time.Duration, err error, maxID uint32) {
+	q := in.queries[qi]
 	p.attempted++
 	if err != nil {
 		if errors.Is(err, errCheck) {
@@ -237,12 +236,12 @@ func (r *run) searched(p *phase, in *inputs, q []float32, truth []nb, mode strin
 			}
 		}
 		if mode == "tiered" {
-			p.tiered = append(p.tiered, lat)
+			p.tiered = append(p.tiered, sample{qi, lat})
 		} else {
-			p.exact = append(p.exact, lat)
+			p.exact = append(p.exact, sample{qi, lat})
 		}
 	default:
-		p.beam = append(p.beam, lat)
+		p.beam = append(p.beam, sample{qi, lat})
 		if truth != nil {
 			p.hits += int64(in.ref.hits(q, res, truth))
 			p.answers++
@@ -280,6 +279,7 @@ func (r *run) measure() error {
 			db.Close()
 			db = nil
 		}
+		runtime.GC()
 		t0 := time.Now()
 		var err error
 		if db, err = r.setup(in); err != nil {
@@ -355,9 +355,7 @@ func (r *run) measure() error {
 		r.set("recall_at_10", "fraction", float64(total.hits)/float64(total.answers*k))
 	}
 	if r.probes > 0 {
-		cl := newClient(srv.url)
-		r.probeRoutes(cl, in, truth, bodies, maxID, live, &after)
-		cl.close()
+		r.probeRoutes(srv.url, in, truth, bodies, maxID, live, &after)
 	}
 	srv.stop()
 	if ing == nil {
@@ -370,16 +368,11 @@ func (r *run) measure() error {
 		return err
 	}
 	total.merge(&after)
-	// Sample j of a route is of the round's query j % perRound.
-	perRound := r.round
-	if perRound == 0 {
-		perRound = r.probes
-	}
 	if len(total.tiered) > 0 {
-		r.set("tiered_mean_ms", "ms", total.tiered.queryMean(perRound))
+		r.set("tiered_mean_ms", "ms", total.tiered.queryMean())
 	}
 	if len(total.exact) > 0 {
-		r.set("exact_mean_ms", "ms", total.exact.queryMean(perRound))
+		r.set("exact_mean_ms", "ms", total.exact.queryMean())
 	}
 	r.out.Attempted, r.out.Failed = total.attempted, total.failed
 	if total.err != nil {
@@ -420,7 +413,7 @@ func (r *run) search(cl *client, c int, in *inputs, truth [][]nb, bodies map[str
 		} else {
 			tr = truth[qi]
 		}
-		r.searched(p, in, in.queries[qi], tr, mode, res, lat, err, maxID)
+		r.searched(p, in, qi, tr, mode, res, lat, err, maxID)
 	}
 }
 
@@ -462,7 +455,7 @@ func (r *run) applyWrite(cl *client, in *inputs, ing *ingest, i int, hdr http.He
 		}
 		return err
 	}
-	ing.writes = append(ing.writes, lat)
+	ing.writes = append(ing.writes, sample{i, lat})
 	switch o.kind {
 	case opAdd:
 		ing.adds++
@@ -494,18 +487,35 @@ func (r *run) checkAcked(ing *ingest, res []result, acked int64) {
 	}
 }
 
-// probeRoutes sends the tiered and exact probes one at a time, in
-// probeRounds rounds of the probe queries, each answer checked exact
-// against the reference; live tells which ids may appear.
-func (r *run) probeRoutes(cl *client, in *inputs, truth [][]nb, bodies map[string][][]byte, maxID uint32, live func(uint32) bool, p *phase) {
-	for i := 0; i < probeRounds*r.probes; i++ {
-		qi := i % r.probes
-		for _, mode := range []string{"tiered", "exact"} {
-			res, lat, err := cl.search(bodies[mode][qi], mode, nil)
-			r.searched(p, in, in.queries[qi], truth[qi], mode, res, lat, err, maxID)
-			r.checkLive(mode, res, live)
-		}
+// probeRoutes sends the tiered and exact probes in probeRounds rounds of
+// the probe queries, each answer checked exact against the reference;
+// live tells which ids may appear. Each client takes every other probe
+// query and sends it as tiered and then as exact, one request at a time,
+// so both CPUs stay busy.
+func (r *run) probeRoutes(url string, in *inputs, truth [][]nb, bodies map[string][][]byte, maxID uint32, live func(uint32) bool, p *phase) {
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for c := 0; c < r.clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			cl := newClient(url)
+			defer cl.close()
+			var cp phase
+			for i := c; i < probeRounds*r.probes; i += r.clients {
+				qi := i % r.probes
+				for _, mode := range []string{"tiered", "exact"} {
+					res, lat, err := cl.search(bodies[mode][qi], mode, nil)
+					r.searched(&cp, in, qi, truth[qi], mode, res, lat, err, maxID)
+					r.checkLive(mode, res, live)
+				}
+			}
+			mu.Lock()
+			p.merge(&cp)
+			mu.Unlock()
+		}(c)
 	}
+	wg.Wait()
 }
 
 func (r *run) checkLive(mode string, res []result, live func(uint32) bool) {
@@ -519,10 +529,14 @@ func (r *run) checkLive(mode string, res []result, live func(uint32) bool) {
 const (
 	// restartProbes is how many queries the restart check compares.
 	restartProbes = 64
-	// A restart loads the snapshot at least setups times, and more, up to
-	// maxLoads, until loadTime has passed; recover_s is the median.
-	maxLoads = 15
-	loadTime = 4 * time.Second
+	// A restart loads the snapshot at least minLoads times, and more, up
+	// to maxLoads, until loadSpan has passed; recover_s is the fastest
+	// load. A load is the same work every time, and on a shared machine
+	// the fastest is the one least slowed by other load, if the loads span
+	// more than a burst of that load.
+	minLoads = 10
+	maxLoads = 60
+	loadSpan = 6 * time.Second
 )
 
 // answers is the database's beam answer to each probe query, straight
@@ -540,7 +554,7 @@ func answers(db *ansmet.Database, qs [][]float32) ([][]ansmet.Neighbor, error) {
 }
 
 // restart loads the snapshot (and replays its journal) several times,
-// reports the median load time as recover_s, and checks the last loaded
+// reports the fastest load as recover_s, and checks the last loaded
 // database answers every probe query with the same neighbours and
 // distances as want (nil: db's answers). The caller closes the returned
 // database.
@@ -554,10 +568,13 @@ func (r *run) restart(db *ansmet.Database, in *inputs, want [][]ansmet.Neighbor)
 	}
 	var times []float64
 	var rdb *ansmet.Database
-	for t0 := time.Now(); len(times) < setups || (len(times) < maxLoads && time.Since(t0) < loadTime); {
+	for start := time.Now(); len(times) < minLoads || (len(times) < maxLoads && time.Since(start) < loadSpan); {
 		if rdb != nil {
 			rdb.Close()
+			rdb = nil
 		}
+		// Each load starts from a collected heap, as each set-up does.
+		runtime.GC()
 		t0 := time.Now()
 		var err error
 		if rdb, err = ansmet.LoadFile(r.snapshot(), nil); err != nil {
@@ -565,7 +582,7 @@ func (r *run) restart(db *ansmet.Database, in *inputs, want [][]ansmet.Neighbor)
 		}
 		times = append(times, time.Since(t0).Seconds())
 	}
-	r.set("recover_s", "s", median(times))
+	r.set("recover_s", "s", slices.Min(times))
 	got, err := answers(rdb, probes)
 	if err != nil {
 		rdb.Close()
@@ -616,7 +633,7 @@ func (r *run) recover(db *ansmet.Database, in *inputs, ing *ingest, truth [][]nb
 	var rp phase
 	for qi := range in.queries {
 		res, lat, err := cl.search(bodies[""][qi], "", nil)
-		r.searched(&rp, in, in.queries[qi], truth[qi], "", res, lat, err, maxID)
+		r.searched(&rp, in, qi, truth[qi], "", res, lat, err, maxID)
 		r.checkLive("beam", res, live)
 	}
 	if rp.answers > 0 {
